@@ -5,33 +5,57 @@ import org.apache.spark.sql.functions._
 import repro.ml.{LDA, LdaModel, LinearRegression, RegressionModel, Unpacked}
 import repro.ring.{CofactorSchema, Triple}
 
-/** A model trained for one incomplete attribute, able to emit its imputation
-  * column. Stochastic linear regression for continuous targets, LDA for
-  * categorical ones — the two §3 models that share the triple's aggregates.
+/** A model trained for one incomplete attribute, able to impute one record or
+  * a whole column. Stochastic linear regression for continuous targets, LDA
+  * for categorical ones — the two §3 models that share the triple's aggregates.
   */
 sealed trait AttrModel {
   def target: String
 
-  /** Prediction column over the cofactor-schema columns of the dataset. */
+  /** Imputed value of one record, given attribute arrays in the training
+    * schema's order; regression noise is keyed on (`seed`, `rowId`).
+    */
+  def predictRow(cont: Array[Double], cat: Array[Int], stochastic: Boolean, seed: Long, rowId: Long): Double
+
+  /** [[predictRow]] as a column over the cofactor-schema columns and
+    * [[Imputation.RowId]].
+    */
   def predictColumn(stochastic: Boolean, seed: Long): Column
 }
 
 final case class ContAttrModel(model: RegressionModel) extends AttrModel {
   def target: String = model.target
+  def predictRow(cont: Array[Double], cat: Array[Int], stochastic: Boolean, seed: Long, rowId: Long): Double =
+    model.impute(cont, cat, stochastic, seed, rowId)
   def predictColumn(stochastic: Boolean, seed: Long): Column =
-    model.predictColumn(stochastic, seed)
+    model.predictColumn(stochastic, seed, col(Imputation.RowId))
 }
 
 final case class CatAttrModel(model: LdaModel) extends AttrModel {
   def target: String = model.target
+  def predictRow(cont: Array[Double], cat: Array[Int], stochastic: Boolean, seed: Long, rowId: Long): Double =
+    model.predict(cont, cat).toDouble
   def predictColumn(stochastic: Boolean, seed: Long): Column = model.predictColumn
 }
 
 /** Shared plumbing of all MICE implementations: mask bookkeeping, mean/mode
-  * initial imputation, model training off a triple, and checkpointed column
-  * updates (the Spark analogue of the paper's cheap column swap).
+  * initial imputation, model training off a triple, and the checkpointed
+  * whole-table column update of Algorithm 1 and the competitors.
   */
 object Imputation {
+
+  /** Stable row id, assigned once in [[prepare]]: the key of the regression noise. */
+  val RowId = "__rid"
+
+  /** Preprocessing shared by every MICE driver (Algorithm 1/2, line 1): mask
+    * columns, mean/mode initial imputation and a [[RowId]], checkpointed.
+    */
+  def prepare(df: DataFrame, schema: MiceSchema): DataFrame = {
+    val masked = addMasks(df, schema)
+    initImpute(masked, schema, initialGuesses(masked, schema))
+      .withColumn(RowId, monotonically_increasing_id())
+      .localCheckpoint(true)
+  }
 
   /** Add `__miss_t` mask columns recording which values are (originally) null. */
   def addMasks(df: DataFrame, schema: MiceSchema): DataFrame =

@@ -25,11 +25,7 @@ object MiceBaseline {
 
   def impute(df0: DataFrame, schema: MiceSchema, cfg: MiceConfig = MiceConfig()): MiceResult = {
     val sw = new Timing.StopWatch
-    val (cur0, prepSecs) = Timing.timed {
-      val masked = Imputation.addMasks(df0, schema)
-      val guesses = Imputation.initialGuesses(masked, schema)
-      Imputation.initImpute(masked, schema, guesses).localCheckpoint(true)
-    }
+    val (cur0, prepSecs) = Timing.timed(Imputation.prepare(df0, schema))
     var cur = cur0
     val roundSecs = (0 until cfg.iterations).map { iter =>
       val (_, secs) = Timing.timed {

@@ -36,21 +36,47 @@ final case class RegressionModel(
     p
   }
 
-  /** Catalyst prediction column over the model's schema columns. With
-    * `stochastic=true` adds Box–Muller noise ε ~ N(0, σ²) (deterministic in
-    * `seed`), giving stochastic regression imputation (§3.1).
+  /** Imputed value for one record: the mean prediction, plus with
+    * `stochastic = true` the noise ε = σ · [[Noise.gaussian]](seed, rowId) of
+    * stochastic regression imputation (§3.1).
     */
-  def predictColumn(stochastic: Boolean, seed: Long): Column = {
+  def impute(cont: Array[Double], cat: Array[Int], stochastic: Boolean, seed: Long, rowId: Long): Double =
+    if (!stochastic || sigma2 <= 0) predict(cont, cat)
+    else predict(cont, cat) + math.sqrt(sigma2) * Noise.gaussian(seed, rowId)
+
+  /** Catalyst column of [[impute]] over the model's schema columns. The noise
+    * is keyed on `rowId`, so a row draws the same ε whatever the partitioning.
+    */
+  def predictColumn(stochastic: Boolean, seed: Long, rowId: Column = monotonically_increasing_id()): Column = {
     val (c, d) = Cofactor.inputCols(schema)
     val model = this
-    val mean = udf((cont: Seq[Double], cat: Seq[Int]) =>
-      model.predict(cont.toArray, cat.toArray)).apply(c, d)
-    if (!stochastic || sigma2 <= 0) mean
-    else {
-      val eps = sqrt(lit(-2.0) * log(rand(seed) + lit(1e-12))) *
-        cos(lit(2.0 * math.Pi) * rand(seed + 1)) * lit(math.sqrt(sigma2))
-      mean + eps
-    }
+    if (!stochastic || sigma2 <= 0)
+      udf((cont: Seq[Double], cat: Seq[Int]) => model.predict(cont.toArray, cat.toArray)).apply(c, d)
+    else
+      udf((cont: Seq[Double], cat: Seq[Int], rid: Long) =>
+        model.impute(cont.toArray, cat.toArray, stochastic = true, seed, rid)).apply(c, d, rowId)
+  }
+}
+
+/** Standard-normal noise as a pure function of (seed, row id): SplitMix64
+  * hashes give two uniforms, Box–Muller turns them into N(0, 1).
+  */
+object Noise {
+  private val Ulp = 1.0 / (1L << 53)
+
+  private def mix(z0: Long): Long = {
+    var z = z0 + 0x9e3779b97f4a7c15L
+    z = (z ^ (z >>> 30)) * 0xbf58476d1ce4e5b9L
+    z = (z ^ (z >>> 27)) * 0x94d049bb133111ebL
+    z ^ (z >>> 31)
+  }
+
+  def gaussian(seed: Long, rowId: Long): Double = {
+    val h1 = mix(seed ^ mix(rowId))
+    val h2 = mix(h1)
+    val u1 = ((h1 >>> 11) + 1) * Ulp // (0, 1]: the log stays finite
+    val u2 = (h2 >>> 11) * Ulp
+    math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
   }
 }
 

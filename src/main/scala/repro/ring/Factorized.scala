@@ -41,9 +41,9 @@ object Factorized {
     }.toMap
   }
 
-  /** Precomputed state for repeated factorized aggregations over the same
-    * dimensions (MICE recomputes fact-side deltas every round; the dimensions
-    * are complete and never change, so their partials are built once).
+  /** Precomputed state for factorized aggregations over the same dimensions:
+    * the dimensions are complete and never change, so their partials are
+    * built and broadcast once, for [[cofactor]] and for [[lookup]].
     */
   final class Plan(
       val factSchema: CofactorSchema,
@@ -52,23 +52,16 @@ object Factorized {
       bcasts: Map[String, Broadcast[Map[Seq[Long], Triple]]],
   ) extends Serializable {
 
-    /** All dimensions, in multiplication (= attribute) order. */
-    val dims: Seq[DimSpec] = orderedDims
-
     /** Combined attribute layout: fact attrs first, then dims in stage order. */
     val combined: CofactorSchema = orderedDims.map(_.schema).foldLeft(factSchema)(_ ++ _)
 
-    private val allKeys: Seq[String] = orderedDims.flatMap(_.keys).distinct
+    /** Fact-side key columns, in the order [[DimLookup.enrich]] reads them. */
+    val allKeys: Seq[String] = orderedDims.flatMap(_.keys).distinct
 
-    /** Factorized cofactor triple of a fact-side subset.
-      *
-      * @param hierarchical follow the staged evaluation order (best for large
-      *        fact sides: wide dims multiply once per key group). For small
-      *        subsets — MICE's per-round deltas — the flat single-stage path
-      *        avoids the group shuffles; pass `hierarchical = false` there.
-      *        Both produce the same triple in the same attribute order.
+    /** Factorized cofactor triple of a fact-side subset, along the staged
+      * evaluation order (wide dims multiply once per key group).
       */
-    def cofactor(factPart: DataFrame, hierarchical: Boolean = true): Triple = {
+    def cofactor(factPart: DataFrame): Triple = {
       implicit val tripleEnc: Encoder[Triple] = Encoders.javaSerialization[Triple]
       implicit val ktEnc: Encoder[(String, Triple)] =
         Encoders.tuple(Encoders.STRING, tripleEnc)
@@ -82,10 +75,7 @@ object Factorized {
 
       // Stage 0: lift each fact record, multiply this level's dims per row,
       // and pre-aggregate into groups keyed by the stage's nextKeys.
-      // (In flat mode every dim multiplies per row and the grouping collapses
-      // to a single global buffer — no shuffle of partial triples.)
-      val s0 = if (hierarchical) stages.head else Stage(orderedDims.map(_.name), Nil)
-      val laterStages = if (hierarchical) stages.tail else Nil
+      val s0 = stages.head
       val s0dims = s0.dimNames.map(n => orderedDims.find(_.name == n).get)
       val s0keyIdx = s0dims.map(_.keys.map(allKeys.indexOf).toArray).toArray
       val s0arity = s0dims.map(dm => (dm.schema.k, dm.schema.l)).toArray
@@ -109,7 +99,7 @@ object Factorized {
       var cur: Dataset[(String, Triple)] =
         if (nextIdx0.isEmpty) {
           // No grouping: one global typed aggregation (partial per partition,
-          // no sort, no per-group buffer shuffling) — the flat fast path.
+          // no sort, no per-group buffer shuffling).
           val agg = new Aggregator[(Array[Double], Array[Int], Array[Long]), Triple, Triple] {
             override def zero: Triple = Triple.zero(k0, l0)
             override def reduce(b: Triple, row: (Array[Double], Array[Int], Array[Long])): Triple =
@@ -140,7 +130,7 @@ object Factorized {
 
       // Later stages: multiply in this level's dims (one lookup per *group*),
       // then re-group by the next key set.
-      for (stage <- laterStages) {
+      for (stage <- stages.tail) {
         val sdims = stage.dimNames.map(n => orderedDims.find(_.name == n).get)
         val keyIdx = sdims.map(_.keys.map(curKeys.indexOf).toArray).toArray
         require(keyIdx.forall(_.forall(_ >= 0)),
@@ -172,17 +162,40 @@ object Factorized {
       else out.map(_._2).reduce(_.plus(_))
     }
 
-    /** Enrich a fact-side subset with all dimension attribute columns (used to
-      * build prediction features for missing rows — small joins only).
+    /** Row-level enrichment by lookup into the broadcast dimension partials. */
+    def lookup: DimLookup =
+      new DimLookup(orderedDims.map(_.keys.map(allKeys.indexOf).toArray).toArray,
+        orderedDims.map(dm => bcasts(dm.name)).toArray)
+  }
+
+  /** Attaches every dimension's attributes to a fact row. Each fact row joins
+    * one row per dimension (N:1), whose per-key partial triple is that row
+    * lifted: `s` holds its continuous values and each `scat` map its one
+    * category. So no join is needed, only a lookup in the broadcast partials.
+    */
+  final class DimLookup private[Factorized] (
+      keyIdx: Array[Array[Int]],
+      maps: Array[Broadcast[Map[Seq[Long], Triple]]],
+  ) extends Serializable {
+
+    /** The fact row's `(cont, cat)` followed by each dimension's attributes,
+      * in [[Plan.combined]] order. `keys` holds the row's [[Plan.allKeys]] values.
       */
-    def enrich(factPart: DataFrame): DataFrame =
-      orderedDims.foldLeft(factPart) { (acc, dim) =>
-        // Broadcast the (small) dimension — the DB analogue of an indexed
-        // N:1 lookup; the global broadcast kill-switch in tests would force a
-        // full shuffle for every per-round prediction otherwise.
-        acc.join(broadcast(dim.df.select((dim.keys ++ dim.schema.cont ++ dim.schema.cat).map(col): _*)),
-          dim.keys)
+    def enrich(cont: Array[Double], cat: Array[Int], keys: Array[Long]): (Array[Double], Array[Int]) = {
+      var c = cont
+      var d = cat
+      var i = 0
+      while (i < maps.length) {
+        val key: Seq[Long] = keyIdx(i).map(keys(_)).toSeq
+        val t = maps(i).value.getOrElse(key,
+          throw new IllegalArgumentException(s"no dimension row for key $key"))
+        require(t.n == 1.0, s"key $key matches ${t.n} dimension rows; enrichment needs an N:1 join")
+        c = c ++ t.s
+        d = d ++ t.scat.map(_.keysIterator.next())
+        i += 1
       }
+      (c, d)
+    }
   }
 
   /** Build a [[Plan]]. `hierarchy` gives the evaluation order; by default all

@@ -1,7 +1,7 @@
 package repro.mice
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import repro.{JobCounter, SparkSpec}
 import repro.data.{Flight, Missingness}
 import repro.ring.{CofactorSchema, DimSpec}
 
@@ -62,6 +62,12 @@ class FactorizedMiceSpec extends SparkSpec {
     val accA = mat.imputed.select(sum("diverted")).head().getLong(0)
     val accB = fact.imputed.select(sum("diverted")).head().getLong(0)
     assert(math.abs(accA - accB) <= 0.05 * flights.count(), s"diverted: $accA vs $accB")
+  }
+
+  test("a factorized round is at most one Spark job per target") {
+    val perRound = JobCounter.perRound(spark)(iters =>
+      FactorizedMice.impute(holeyFact, factSchema, dims, cfg.copy(iterations = iters)))
+    assert(perRound <= factSchema.targets.size, s"$perRound jobs per round")
   }
 
   test("timing fields are populated") {

@@ -3,7 +3,7 @@ package repro.mice
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.{Oracle, SparkSpec}
+import repro.{JobCounter, Oracle, SparkSpec}
 import repro.data.Missingness
 
 /** End-to-end MICE tests: init imputation (oracle-checked), completeness,
@@ -134,6 +134,38 @@ class MiceSpec extends SparkSpec {
     fb.zip(fh).foreach { case (a, b) =>
       assert(math.abs(a - b) < 2e-2 * (1 + math.abs(a)), s"baseline=$fb high=$fh")
     }
+  }
+
+  test("Low and High match Baseline with stochastic noise keyed on (seed, row id)") {
+    val cfg = MiceConfig(iterations = 2, stochastic = true, seed = 1)
+    val fb = fingerprint(MiceBaseline.impute(holey, schema, cfg).imputed)
+    for ((name, impl) <- Seq("low" -> MiceLow.impute _, "high" -> MiceHigh.impute _)) {
+      val f = fingerprint(impl(holey, schema, cfg).imputed)
+      fb.zip(f).foreach { case (a, b) =>
+        assert(math.abs(a - b) < 2e-2 * (1 + math.abs(a)), s"baseline=$fb $name=$f")
+      }
+    }
+  }
+
+  test("a Low or High round is at most one Spark job per target") {
+    for (impl <- Seq(MiceLow.impute _, MiceHigh.impute _)) {
+      val perRound = JobCounter.perRound(spark)(iters => impl(holey, schema, cfgDet(iters)))
+      assert(perRound <= schema.targets.size, s"$perRound jobs per round")
+    }
+  }
+
+  test("superseded working-set versions are released: persisted RDDs do not grow with iterations") {
+    val sc = spark.sparkContext
+    def heldAfter(iters: Int): (Int, MiceResult) = {
+      val firstId = sc.emptyRDD[Int].id
+      val r = MiceLow.impute(holey, schema, cfgDet(iters))
+      (sc.getPersistentRDDs.keys.count(_ > firstId), r)
+    }
+    val (one, r1) = heldAfter(1)
+    val (three, r3) = heldAfter(3)
+    assert(three <= one, s"persisted RDDs: $one after 1 round, $three after 3")
+    // Both results stay reachable until here, so the cleaner cannot release their RDDs.
+    assert(r1.imputed.count() == r3.imputed.count())
   }
 
   test("MICE recovers correlated values far better than mean imputation") {

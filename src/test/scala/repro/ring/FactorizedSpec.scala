@@ -74,12 +74,21 @@ class FactorizedSpec extends SparkSpec {
     assert(t.n == 0.0)
   }
 
-  test("enrich attaches every dimension attribute at fact cardinality") {
+  test("lookup enriches every fact row with its dimension attributes, as the join does") {
     val plan = Factorized.plan(spark, factSchema, dims)
-    val e = plan.enrich(flights.limit(100))
-    assert(e.count() == 100)
-    for (c <- Seq("o_lat", "o_elev", "o_region", "cr_speed", "cr_avg_age", "cr_alliance"))
-      assert(e.columns.contains(c), c)
+    val lookup = plan.lookup
+    val c = plan.combined
+    val joined = flights.limit(100).join(airports, "origin_id").join(carriers, "carrier_id")
+      .select((plan.allKeys ++ c.cont ++ c.cat).map(col(_)): _*).collect()
+    assert(joined.length == 100)
+    for (r <- joined) {
+      val keys = plan.allKeys.indices.map(r.getInt(_).toLong).toArray
+      val fc = factSchema.cont.indices.map(i => r.getDouble(keys.length + i)).toArray
+      val fd = factSchema.cat.indices.map(j => r.getInt(keys.length + c.k + j)).toArray
+      val (ec, ed) = lookup.enrich(fc, fd, keys)
+      assert(ec.toSeq == c.cont.indices.map(i => r.getDouble(keys.length + i)))
+      assert(ed.toSeq == c.cat.indices.map(j => r.getInt(keys.length + c.k + j)))
+    }
   }
 
   test("hierarchical plan matches the default plan and the materialized join") {
