@@ -74,7 +74,8 @@ class FactorizedSpec extends SparkSpec {
     assert(t.n == 0.0)
   }
 
-  test("lookup enriches every fact row with its dimension attributes, as the join does") {
+  test("enrich attaches every dimension attribute at fact cardinality") {
+    // DimLookup.enrich must reproduce, value for value, the row the N:1 join yields.
     val plan = Factorized.plan(spark, factSchema, dims)
     val lookup = plan.lookup
     val c = plan.combined
